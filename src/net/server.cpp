@@ -712,11 +712,8 @@ struct Server::Impl {
 
   void accept_pending(const Socket& listener) EXCLUDES(m) {
     while (true) {
-      const int fd = ::accept(listener.fd(), nullptr, nullptr);
-      if (fd < 0) {
-        if (errno == EINTR) continue;
-        return;  // EAGAIN or transient error; poll again later
-      }
+      Socket sock = accept_from(listener);
+      if (!sock.valid()) return;  // EAGAIN or transient error; poll again later
       if (conns.size() >= config.max_connections) {
         // Tell the peer WHY before closing: a bare close looks like a
         // network failure and used to send Client's reconnect-with-backoff
@@ -732,21 +729,20 @@ struct Server::Impl {
         const auto bytes = frame(io::kRecordNetError, encode_error(error));
         std::size_t sent = 0;
         while (sent < bytes.size()) {
-          const ssize_t n = ::send(fd, bytes.data() + sent,
+          const ssize_t n = ::send(sock.fd(), bytes.data() + sent,
                                    bytes.size() - sent, MSG_NOSIGNAL);
           if (n < 0 && errno == EINTR) continue;
           if (n <= 0) break;
           sent += static_cast<std::size_t>(n);
         }
-        ::close(fd);
+        sock.close();
         MutexLock lock(m);
         ++stats.connections_rejected_full;
         continue;
       }
-      set_nonblocking(fd);
+      set_nonblocking(sock.fd());
       const auto id = next_conn_id++;
-      conns.emplace(id, std::make_unique<Connection>(
-                            id, Socket(fd)));
+      conns.emplace(id, std::make_unique<Connection>(id, std::move(sock)));
       conns[id]->in = FrameBuffer(config.max_frame_bytes);
       obs::log_event(obs::LogLevel::info, "conn_open",
                      {{"conn", std::to_string(id)}});

@@ -53,6 +53,11 @@ bool fill_tcp_addr(const std::string& host, std::uint16_t port,
   return true;
 }
 
+void set_nodelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 std::optional<Endpoint> Endpoint::parse(const std::string& text) {
@@ -227,11 +232,19 @@ Socket connect_to(const Endpoint& endpoint, int timeout_ms,
     return {};
   }
   ::fcntl(sock.fd(), F_SETFL, flags);
-  if (endpoint.kind == Endpoint::Kind::tcp) {
-    const int one = 1;
-    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  }
+  if (endpoint.kind == Endpoint::Kind::tcp) set_nodelay(sock.fd());
   return sock;
+}
+
+Socket accept_from(const Socket& listener) {
+  sockaddr_storage peer;
+  socklen_t len = sizeof(peer);
+  int fd;
+  do {
+    fd = ::accept(listener.fd(), reinterpret_cast<sockaddr*>(&peer), &len);
+  } while (fd < 0 && errno == EINTR);
+  if (fd >= 0 && peer.ss_family == AF_INET) set_nodelay(fd);
+  return Socket(fd);
 }
 
 std::optional<Endpoint> local_endpoint(int fd) {

@@ -2,7 +2,11 @@
 
 // Thin POSIX socket layer for the network front end: endpoint parsing
 // (TCP host:port and Unix-domain paths), an RAII fd wrapper, and the
-// blocking connect / listen helpers the Server reactor and Client build on.
+// blocking connect / listen / accept helpers the Server reactor and Client
+// build on.  It is the one owner of socket options: both ends of a TCP
+// connection get TCP_NODELAY here.  Frames are small and request/response
+// shaped, so Nagle would hold a second small write until the peer's
+// delayed ACK (~40 ms on Linux) — a stall per pipelined window.
 //
 // Error reporting is by out-parameter message + invalid Socket, never by
 // exception — the callers (daemon startup, client reconnect loops) treat
@@ -77,6 +81,13 @@ Socket listen_on(const Endpoint& endpoint, std::string* error);
 /// and fills `*error`.
 Socket connect_to(const Endpoint& endpoint, int timeout_ms,
                   std::string* error);
+
+/// Accepts one pending connection on `listener` (retrying EINTR).  An
+/// accepted TCP socket gets TCP_NODELAY, as connect_to's does.  The new
+/// socket is blocking whatever the listener's mode.  Returns an invalid
+/// Socket, with errno set, when nothing is pending (EAGAIN on a
+/// non-blocking listener) or on error.
+Socket accept_from(const Socket& listener);
 
 /// The locally bound address of a listening/connected socket (resolves an
 /// ephemeral TCP port).  Unix sockets return their path.

@@ -8,10 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -72,6 +77,49 @@ TEST(EndpointTest, ParsesTcpUnixAndShorthand) {
   EXPECT_FALSE(Endpoint::parse("no-port").has_value());
   EXPECT_FALSE(Endpoint::parse("host:99999").has_value());
   EXPECT_FALSE(Endpoint::parse("host:notaport").has_value());
+}
+
+// --- socket options ---------------------------------------------------------
+
+// Without TCP_NODELAY on the accepted socket, Nagle holds each small Result
+// frame after the first until the client's delayed ACK (~40 ms): a stall
+// per pipelined window.
+TEST(SocketTest, AcceptedTcpSocketHasNoDelay) {
+  std::string error;
+  const auto listener = listen_on(*Endpoint::parse("tcp:127.0.0.1:0"), &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  const auto bound = local_endpoint(listener.fd());
+  ASSERT_TRUE(bound.has_value());
+  const auto client = connect_to(*bound, 2000, &error);
+  ASSERT_TRUE(client.valid()) << error;
+  const auto accepted = accept_from(listener);
+  ASSERT_TRUE(accepted.valid()) << std::strerror(errno);
+  int nodelay = 0;
+  socklen_t len = sizeof(nodelay);
+  ASSERT_EQ(::getsockopt(accepted.fd(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                         &len),
+            0);
+  EXPECT_EQ(nodelay, 1);
+}
+
+TEST(SocketTest, AcceptFromServesUnixDomain) {
+  const auto path =
+      std::filesystem::path(::testing::TempDir()) / "qross_accept_unix.sock";
+  std::string error;
+  const auto listener =
+      listen_on(*Endpoint::parse("unix:" + path.string()), &error);
+  ASSERT_TRUE(listener.valid()) << error;
+  const auto client =
+      connect_to(*Endpoint::parse("unix:" + path.string()), 2000, &error);
+  ASSERT_TRUE(client.valid()) << error;
+  const auto accepted = accept_from(listener);
+  ASSERT_TRUE(accepted.valid()) << std::strerror(errno);
+  const char byte = 'q';
+  ASSERT_TRUE(client.send_all(&byte, 1));
+  char got = 0;
+  EXPECT_EQ(accepted.recv_some(&got, 1, 2000), 1);
+  EXPECT_EQ(got, 'q');
+  std::filesystem::remove(path);
 }
 
 // --- codecs -----------------------------------------------------------------
@@ -647,11 +695,11 @@ class RawConnection {
     return send_bytes(frame(type, payload));
   }
 
-  /// Reads until one full frame arrives (or 3 s pass).
-  std::optional<Frame> read_frame() {
+  /// Reads until one full frame arrives (or `timeout` passes).
+  std::optional<Frame> read_frame(std::chrono::milliseconds timeout = 3s) {
     Frame out;
     std::uint8_t buf[4096];
-    const auto deadline = std::chrono::steady_clock::now() + 3s;
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
     while (std::chrono::steady_clock::now() < deadline) {
       const auto status = buffer_.next(&out);
       if (status == FrameBuffer::Status::frame) return out;
@@ -678,6 +726,96 @@ class RawConnection {
   Socket sock_;
   FrameBuffer buffer_;
 };
+
+// A client that pipelines a large window of cache hits and reads nothing
+// until it has sent them all.  The Results outgrow the socket send buffer,
+// so the server's flush must stop at EAGAIN, keep reading submits, and
+// resume on POLLOUT — every Result delivered exactly once, bit-identical.
+// Unix-domain, because its send buffer is fixed (TCP autotunes to MiBs).
+TEST_F(NetServerTest, SlowReaderGetsEveryPipelinedResultExactlyOnce) {
+  const auto endpoint = start_unix();
+  RawConnection raw(endpoint);
+  ASSERT_TRUE(raw.handshake());
+
+  constexpr std::size_t kDistinct = 4;
+  constexpr std::uint64_t kPipelined = 256;
+  auto submit_for = [](std::uint64_t tag) {
+    SubmitJobFrame submit;
+    submit.tag = tag;
+    submit.solver = "count";
+    submit.model = test_model(100 + tag % kDistinct, 64);
+    submit.num_replicas = 256;
+    submit.num_sweeps = 2;
+    submit.seed = 5;
+    return submit;
+  };
+  // Warm the cache: one kernel run per distinct job (slow under TSAN).
+  for (std::uint64_t tag = 1; tag <= kDistinct; ++tag) {
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob,
+                               encode_submit(submit_for(tag))));
+    const auto reply = raw.read_frame(60s);
+    ASSERT_TRUE(reply.has_value());
+    ASSERT_EQ(reply->type, io::kRecordNetResult);
+  }
+  ASSERT_EQ(invocations_.load(), static_cast<int>(kDistinct));
+
+  const std::uint64_t first = kDistinct + 1;
+  for (std::uint64_t tag = first; tag < first + kPipelined; ++tag) {
+    ASSERT_TRUE(raw.send_frame(io::kRecordNetSubmitJob,
+                               encode_submit(submit_for(tag))));
+  }
+  std::map<std::uint64_t, ResultFrame> results;
+  std::size_t result_bytes = 0;
+  while (results.size() < kPipelined) {
+    const auto reply = raw.read_frame();
+    ASSERT_TRUE(reply.has_value()) << results.size() << " results so far";
+    ASSERT_EQ(reply->type, io::kRecordNetResult);
+    result_bytes += reply->payload.size();
+    auto result = decode_result(reply->payload);
+    ASSERT_TRUE(results.emplace(result.tag, std::move(result)).second)
+        << "tag " << result.tag << " answered twice";
+  }
+  // Nothing beyond the one Result per tag.
+  ASSERT_TRUE(raw.send_frame(io::kRecordNetGetMetrics, {}));
+  const auto tail = raw.read_frame();
+  ASSERT_TRUE(tail.has_value());
+  EXPECT_EQ(tail->type, io::kRecordNetMetrics);
+
+  int sndbuf = 0;
+  socklen_t len = sizeof(sndbuf);
+  ASSERT_EQ(::getsockopt(raw.socket().fd(), SOL_SOCKET, SO_SNDBUF, &sndbuf,
+                         &len),
+            0);
+  EXPECT_GT(result_bytes, 2 * static_cast<std::size_t>(sndbuf))
+      << "window too small to fill the server's send buffer";
+  EXPECT_EQ(invocations_.load(), static_cast<int>(kDistinct));
+
+  std::vector<qubo::SolveBatch> local;
+  for (std::uint64_t k = 0; k < kDistinct; ++k) {
+    const auto submit = submit_for(k);
+    solvers::SolveOptions options;
+    options.num_replicas = submit.num_replicas;
+    options.num_sweeps = submit.num_sweeps;
+    options.seed = submit.seed;
+    local.push_back(solvers::DigitalAnnealer().solve(submit.model, options));
+  }
+  for (std::uint64_t tag = first; tag < first + kPipelined; ++tag) {
+    const auto it = results.find(tag);
+    ASSERT_NE(it, results.end()) << "tag " << tag << " never answered";
+    const ResultFrame& result = it->second;
+    ASSERT_EQ(result.status, service::JobStatus::done) << result.error;
+    EXPECT_TRUE(result.cache_hit);
+    ASSERT_NE(result.batch, nullptr);
+    const auto& expected = local[tag % kDistinct];
+    ASSERT_EQ(result.batch->size(), expected.size());
+    for (std::size_t k = 0; k < expected.size(); ++k) {
+      EXPECT_EQ(result.batch->results[k].assignment,
+                expected.results[k].assignment);
+      EXPECT_EQ(result.batch->results[k].qubo_energy,
+                expected.results[k].qubo_energy);
+    }
+  }
+}
 
 TEST_F(NetServerTest, FutureProtocolVersionGetsACleanErrorFrame) {
   const auto endpoint = start_tcp();

@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
-# Network service end-to-end smoke: qrossd over a Unix socket.
+# Network service end-to-end smoke: qrossd over a Unix socket and TCP.
 #
 # Two-process proof over the socket: a warm qrossd serves a second
 # short-lived `remote batch` client bit-identically from its cache (0 solver
-# invocations), then SIGTERM drains cleanly (exit 0) and flushes the
-# persistent cache.  `0 failed` + non-empty energies guard against an
-# all-failed run sneaking past the ' 0 solver invocations' grep.  The daemon
+# invocations), then a third over its ephemeral TCP port (the accept path
+# that sets TCP_NODELAY; correctness only, no wall-time assertion), then
+# SIGTERM drains cleanly (exit 0) and flushes the persistent cache.
+# `0 failed` + non-empty energies guard against an all-failed run sneaking
+# past the ' 0 solver invocations' grep.  The daemon
 # runs with --trace so the smoke also proves the observability surface end to
 # end: SIGUSR1 dumps a well-formed Chrome trace with the expected lifecycle
 # spans, `qross_cli trace` fetches the same ring over the wire, and
@@ -18,7 +20,7 @@ rm -rf netsmoke
 
 ./qross_cli generate --count 2 --cities 6 --out-dir netsmoke/instances --seed 11
 printf 'netsmoke/instances/uniform_0.tsp 25\nnetsmoke/instances/uniform_1.tsp 25\n' > netsmoke/jobs.txt
-./qrossd --listen unix:netsmoke/qrossd.sock --workers 2 \
+./qrossd --listen unix:netsmoke/qrossd.sock,tcp:127.0.0.1:0 --workers 2 \
   --cache-file netsmoke/cache.qsnap --trace --log-level info \
   --trace-dump netsmoke/trace.json > netsmoke/daemon.log 2>&1 &
 echo $! > netsmoke/daemon.pid
@@ -34,6 +36,14 @@ test -s netsmoke/energies1.txt
 diff netsmoke/energies1.txt netsmoke/energies2.txt
 grep -q '2 solver invocations, 0 expired/cancelled, 0 failed' netsmoke/run1.txt
 grep -q '2 cache hits, 0 coalesced, 0 solver invocations, 0 expired/cancelled, 0 failed' netsmoke/run2.txt
+for i in $(seq 1 50); do grep -q 'listening on tcp:' netsmoke/daemon.log && break; sleep 0.1; done
+tcp_ep=$(awk '/listening on tcp:/ {print $4}' netsmoke/daemon.log)
+test -n "$tcp_ep"
+./qross_cli remote batch --server "$tcp_ep" \
+  --jobs netsmoke/jobs.txt --solver da --replicas 4 --sweeps 20 | tee netsmoke/run3.txt
+awk '/^[0-9]/ {print $1, $NF}' netsmoke/run3.txt > netsmoke/energies3.txt
+diff netsmoke/energies1.txt netsmoke/energies3.txt
+grep -q '2 cache hits, 0 coalesced, 0 solver invocations, 0 expired/cancelled, 0 failed' netsmoke/run3.txt
 ./qross_cli remote metrics --server unix:netsmoke/qrossd.sock
 ./qross_cli remote metrics --server unix:netsmoke/qrossd.sock --prom | tee netsmoke/metrics.prom
 grep -q '^# TYPE qross_jobs_submitted_total counter' netsmoke/metrics.prom
